@@ -26,9 +26,10 @@ Task<> Proc::compute(SimTime work) {
   remaining_ = work;
   wants_cpu_ = true;
   os_.make_ready(*this, /*to_front=*/false);
-  while (wants_cpu_) {
-    co_await state_changed_.wait();
-  }
+  // Completion is the only wake-up: state_changed_ is notified by
+  // finish_work() and cancel_work() alone, never by the dispatches and
+  // preemptions in between, so one wait covers the whole request.
+  co_await state_changed_.wait();
   gate_.release();
 }
 
@@ -37,8 +38,8 @@ void Proc::begin_busy() {
   assert(!wants_cpu_ && "cannot busy-wait with compute() outstanding");
   busy_ = true;
   wants_cpu_ = true;
-  // Effectively unbounded work; ended only by end_busy().
-  remaining_ = SimTime::sec(1'000'000'000);
+  // No work to count down: dispatch() arms no completion event for a
+  // busy proc, so only end_busy() takes it off the CPU for good.
   os_.make_ready(*this, /*to_front=*/false);
 }
 
@@ -46,29 +47,14 @@ void Proc::end_busy() {
   if (!busy_) return;
   os_.cpus_[cpu_].quiet = false;
   busy_ = false;
-  if (st_ == St::Running) {
-    os_.preempt(*this, /*requeue=*/false);
-  } else if (queued_) {
-    auto& q = os_.cpus_[cpu_].queue;
-    q.erase(std::find(q.begin(), q.end(), this));
-    queued_ = false;
-    st_ = St::Idle;
-  }
+  os_.withdraw(*this);
   wants_cpu_ = false;
-  remaining_ = SimTime::zero();
 }
 
 void Proc::cancel_work() {
   if (busy_ || !wants_cpu_) return;
   os_.cpus_[cpu_].quiet = false;
-  if (st_ == St::Running) {
-    os_.preempt(*this, /*requeue=*/false);
-  } else if (queued_) {
-    auto& q = os_.cpus_[cpu_].queue;
-    q.erase(std::find(q.begin(), q.end(), this));
-    queued_ = false;
-    st_ = St::Idle;
-  }
+  os_.withdraw(*this);
   wants_cpu_ = false;
   remaining_ = SimTime::zero();
   state_changed_.notify_all();
@@ -79,14 +65,7 @@ void Proc::set_suspended(bool suspended) {
   os_.cpus_[cpu_].quiet = false;
   suspended_ = suspended;
   if (suspended) {
-    if (st_ == St::Running) {
-      os_.preempt(*this, /*requeue=*/false);
-    } else if (queued_) {
-      auto& q = os_.cpus_[cpu_].queue;
-      q.erase(std::find(q.begin(), q.end(), this));
-      queued_ = false;
-      st_ = St::Idle;
-    }
+    os_.withdraw(*this);
   } else if (wants_cpu_) {
     // Resumed by the gang scheduler: dispatch promptly.
     os_.make_ready(*this, /*to_front=*/true);
@@ -137,19 +116,20 @@ void OsScheduler::dispatch(int cpu) {
   p->st_ = Proc::St::Running;
 
   // Context switch + dispatch noise + any pending cache-refill penalty
-  // are charged as extra work on this slice.
-  const SimTime noise = SimTime::seconds(rng_.lognormal_median(
-      params_.dispatch_noise_median.to_seconds(), params_.dispatch_noise_sigma));
-  p->remaining_ += params_.context_switch + noise + p->penalty_;
-  p->penalty_ = SimTime::zero();
-
+  // are charged as extra work on this slice. A busy-wait slice draws
+  // its noise too, keeping the RNG stream in step, but never completes
+  // on its own: a completion event would only be cancelled by the next
+  // tick, grab or end_busy() and linger in the heap as a dead entry.
+  const SimTime overhead = sample_dispatch_overhead(*p);
   p->slice_start_ = sim_.now();
-  p->work_done_ev_ = sim_.schedule_after(p->remaining_, [this, p] {
-    p->work_done_ev_ = sim::kInvalidEvent;
-    finish_work(*p);
-  });
+  if (!p->busy_) {
+    p->remaining_ += overhead;
+    p->work_done_ev_ = sim_.schedule_after(p->remaining_, [this, p] {
+      p->work_done_ev_ = sim::kInvalidEvent;
+      finish_work(*p);
+    });
+  }
   arm_tick(cpu);
-  p->state_changed_.notify_all();
 }
 
 void OsScheduler::finish_work(Proc& p) {
@@ -181,8 +161,18 @@ void OsScheduler::preempt(Proc& p, bool requeue) {
   c.current = nullptr;
   disarm(c.tick_ev);
   if (requeue) make_ready(p, /*to_front=*/false);
-  p.state_changed_.notify_all();
   dispatch(p.cpu_);
+}
+
+void OsScheduler::withdraw(Proc& p) {
+  if (p.st_ == Proc::St::Running) {
+    preempt(p, /*requeue=*/false);
+  } else if (p.queued_) {
+    auto& q = cpus_[p.cpu_].queue;
+    q.erase(std::find(q.begin(), q.end(), &p));
+    p.queued_ = false;
+    p.st_ = Proc::St::Idle;
+  }
 }
 
 void OsScheduler::arm_tick(int cpu) {

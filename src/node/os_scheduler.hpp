@@ -63,6 +63,10 @@ class Proc {
   /// the broadcast stages of the launch pipeline) queue up behind each
   /// other. That serialisation is precisely the paper's explanation
   /// for the 131 MB/s protocol bandwidth (Section 3.3.1).
+  ///
+  /// Completion is the only wake-up: the caller's coroutine is resumed
+  /// once, when the work finishes or cancel_work() discards it, never
+  /// by the dispatches and preemptions in between.
   sim::Task<> compute(sim::SimTime work);
 
   /// Gang-scheduling control: a suspended process keeps its pending
@@ -73,8 +77,10 @@ class Proc {
   /// Busy-wait bracket: between begin_busy() and end_busy() the
   /// process burns CPU whenever the scheduler runs it (a user-level
   /// communication library polling the NIC). It is preempted by
-  /// ticks/grabs like any compute, but never completes on its own.
-  /// No compute() may be outstanding while busy.
+  /// ticks/grabs like any compute, but never completes on its own, so
+  /// its slices arm no completion event: end_busy() is the only way
+  /// out, and nothing waits to be woken. No compute() may be
+  /// outstanding while busy.
   void begin_busy();
   void end_busy();
   bool busy_waiting() const { return busy_; }
@@ -165,10 +171,10 @@ class OsScheduler {
   /// precondition for the dæmon sweep's batched slice.
   bool cpu_quiescent(int cpu) const;
 
-  /// Exactly the per-dispatch overhead dispatch() would charge `p` on
-  /// an idle CPU — context switch + one log-normal noise draw from the
-  /// scheduler's stream + any pending penalty (consumed). The batched
-  /// fast path calls this where dispatch() would have run, so the RNG
+  /// The per-dispatch overhead charged to `p` — context switch + one
+  /// log-normal noise draw from the scheduler's stream + any pending
+  /// penalty (consumed). dispatch() charges exactly this; the batched
+  /// fast path calls it where dispatch() would have run, so the RNG
   /// stream advances identically to the event-driven path.
   sim::SimTime sample_dispatch_overhead(Proc& p);
 
@@ -192,6 +198,10 @@ class OsScheduler {
   void dispatch(int cpu);
   void finish_work(Proc& p);
   void preempt(Proc& p, bool requeue);
+  /// Take `p` off its CPU without touching its pending work: preempt
+  /// it if running, pull it off the run queue if waiting. Leaves it
+  /// Idle either way.
+  void withdraw(Proc& p);
   void arm_tick(int cpu);
   void disarm(sim::EventId& ev);
   void maybe_arm_grab(int cpu);

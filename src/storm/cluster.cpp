@@ -170,7 +170,11 @@ JobId Cluster::submit(JobSpec spec) {
   }
   if (!spec.program) spec.program = do_nothing_program();
   const JobId id = static_cast<JobId>(jobs_.size());
-  assert(id < (1 << 14) && "app-channel key layout caps the job table");
+  if (id >= kMaxJobs) {
+    throw std::length_error(
+        "Cluster::submit: job table full (" + std::to_string(kMaxJobs) +
+        " jobs); the app-channel key packs the job id into 14 bits");
+  }
   jobs_.push_back(std::make_unique<Job>(id, std::move(spec)));
   jobs_.back()->times().submit = sim_.now();
   mm().enqueue(id);
@@ -421,6 +425,7 @@ Task<> Cluster::multicast_command(fabric::Component from, int src,
 sim::Channel<int>& Cluster::app_channel(JobId job_id, int inc, int dst,
                                         int src) {
   assert(inc >= 0 && inc < kMaxIncarnations);
+  assert(job_id >= 0 && job_id < kMaxJobs);
   const std::uint64_t key = (static_cast<std::uint64_t>(inc) << 54) |
                             (static_cast<std::uint64_t>(job_id) << 40) |
                             (static_cast<std::uint64_t>(dst) << 20) |

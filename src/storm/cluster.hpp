@@ -222,6 +222,13 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   // --- job control ------------------------------------------------------
+  /// Capacity of the job table. The app-channel key packs the job id
+  /// into 14 bits, so a larger id would alias (job - 2^14, incarnation
+  /// + 1) in message delivery and recovery poisoning.
+  static constexpr JobId kMaxJobs = 1 << 14;
+
+  /// Throws std::invalid_argument for a malformed spec and
+  /// std::length_error once kMaxJobs jobs have been submitted.
   JobId submit(JobSpec spec);
   Job& job(JobId id);
   const Job& job(JobId id) const;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace storm::node {
@@ -241,6 +242,186 @@ TEST_F(Fixture, CurrentAndQueueDepthIntrospection) {
   sim.run();
   EXPECT_EQ(os.current(0), nullptr);
   EXPECT_EQ(os.queue_depth(0), 0u);
+}
+
+// ---- busy-wait brackets -----------------------------------------------
+
+TEST_F(Fixture, BusyProcAloneArmsNoEvent) {
+  // A busy-wait slice never completes on its own, so a busy proc with
+  // the CPU to itself has nothing to schedule: no completion, no tick.
+  Proc& p = os.create("poller", 0);
+  p.begin_busy();
+  EXPECT_TRUE(p.running());
+  EXPECT_TRUE(p.busy_waiting());
+  EXPECT_EQ(sim.events_pending(), 0u);
+  p.end_busy();
+  EXPECT_EQ(sim.events_pending(), 0u);
+  EXPECT_TRUE(p.idle());
+}
+
+TEST_F(Fixture, BusyProcAccruesCpuTime) {
+  Proc& p = os.create("poller", 0);
+  p.begin_busy();
+  sim.run(3_ms);
+  p.end_busy();
+  EXPECT_NEAR(p.cpu_time().to_millis(), 3.0, 1e-6);
+  // A second bracket keeps accruing on top of the first.
+  sim.run(5_ms);
+  p.begin_busy();
+  sim.run(9_ms);
+  p.end_busy();
+  EXPECT_NEAR(p.cpu_time().to_millis(), 7.0, 1e-6);
+}
+
+TEST_F(Fixture, TicksPreemptBusyProc) {
+  // Two pollers on one CPU: after the first wakeup grab they alternate
+  // one tick each, and every nanosecond of CPU goes to one of them.
+  Proc& a = os.create("a", 0);
+  Proc& b = os.create("b", 0);
+  a.begin_busy();
+  b.begin_busy();
+  std::vector<const Proc*> holders;
+  for (int i = 0; i < 10; ++i) {
+    sim.run(SimTime::millis(5.0 + 10.0 * i));
+    holders.push_back(os.current(0));
+  }
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(holders[i], i % 2 == 0 ? &b : &a) << "tick " << i;
+  }
+  EXPECT_EQ(os.queue_depth(0), 1u);
+  a.end_busy();
+  b.end_busy();
+  EXPECT_EQ(a.cpu_time() + b.cpu_time(), sim.now());
+  EXPECT_EQ(a.cpu_time(), 45_ms);
+  EXPECT_EQ(sim.events_pending(), 0u);
+}
+
+TEST_F(Fixture, EndBusyWhileRunningFreesCpuForQueuedWork) {
+  Proc& poller = os.create("poller", 0);
+  Proc& worker = os.create("worker", 0);
+  SimTime done = SimTime::zero();
+  poller.begin_busy();
+  auto t = [&]() -> Task<> {
+    co_await sim.delay(1_ms);
+    co_await worker.compute(2_ms);
+    done = sim.now();
+  };
+  sim.spawn(t());
+  // The worker queues at 1 ms; the grab would hand it the CPU at
+  // 1.1 ms, but the poller stops at 1.05 ms and the worker takes over.
+  sim.schedule_at(SimTime::us(1050), [&] {
+    EXPECT_TRUE(poller.running());
+    poller.end_busy();
+    EXPECT_TRUE(poller.idle());
+  });
+  sim.run();
+  EXPECT_NEAR(done.to_millis(), 3.05, 1e-3);
+  EXPECT_NEAR(poller.cpu_time().to_millis(), 1.05, 1e-6);
+  EXPECT_FALSE(poller.busy_waiting());
+}
+
+TEST_F(Fixture, EndBusyWhileQueuedDequeues) {
+  Proc& hog = os.create("hog", 0);
+  Proc& poller = os.create("poller", 0);
+  SimTime done = SimTime::zero();
+  auto t = [&]() -> Task<> {
+    co_await hog.compute(20_ms);
+    done = sim.now();
+  };
+  sim.spawn(t());
+  poller.begin_busy();
+  EXPECT_EQ(os.queue_depth(0), 1u);
+  sim.schedule_at(50_us, [&] { poller.end_busy(); });
+  sim.run();
+  EXPECT_EQ(os.queue_depth(0), 0u);
+  EXPECT_TRUE(poller.idle());
+  EXPECT_EQ(poller.cpu_time(), SimTime::zero());
+  // The hog was never preempted: the grab found an empty queue.
+  EXPECT_NEAR(done.to_millis(), 20.0, 1e-3);
+}
+
+// ---- cancel_work ------------------------------------------------------
+
+TEST_F(Fixture, CancelWorkWhileRunningReturnsAtCancel) {
+  Proc& p = os.create("app", 0);
+  SimTime done = SimTime::zero();
+  auto t = [&]() -> Task<> {
+    co_await p.compute(10_ms);
+    done = sim.now();
+  };
+  sim.spawn(t());
+  sim.schedule_at(3_ms, [&] { p.cancel_work(); });
+  sim.run();
+  EXPECT_EQ(done, 3_ms);
+  EXPECT_EQ(p.cpu_time(), 3_ms);
+  EXPECT_TRUE(p.idle());
+  EXPECT_EQ(os.current(0), nullptr);
+}
+
+TEST_F(Fixture, CancelWorkWhileQueuedReturnsAtCancel) {
+  Proc& hog = os.create("hog", 0);
+  Proc& p = os.create("app", 0);
+  SimTime done = SimTime::zero();
+  auto th = [&]() -> Task<> { co_await hog.compute(10_ms); };
+  auto tp = [&]() -> Task<> {
+    co_await p.compute(10_ms);
+    done = sim.now();
+  };
+  sim.spawn(th());
+  sim.spawn(tp());
+  EXPECT_EQ(os.queue_depth(0), 1u);
+  sim.schedule_at(50_us, [&] { p.cancel_work(); });
+  sim.run();
+  EXPECT_EQ(done, 50_us);
+  EXPECT_EQ(p.cpu_time(), SimTime::zero());
+  EXPECT_EQ(os.queue_depth(0), 0u);
+  EXPECT_NEAR(hog.cpu_time().to_millis(), 10.0, 1e-3);
+}
+
+TEST_F(Fixture, CancelWorkWhileSuspendedReturnsAtCancel) {
+  Proc& p = os.create("app", 0);
+  SimTime done = SimTime::zero();
+  auto t = [&]() -> Task<> {
+    co_await p.compute(10_ms);
+    done = sim.now();
+  };
+  sim.spawn(t());
+  sim.schedule_at(2_ms, [&] { p.set_suspended(true); });
+  sim.schedule_at(5_ms, [&] { p.cancel_work(); });
+  // Resuming after the cancel finds no work: the CPU stays idle.
+  sim.schedule_at(6_ms, [&] { p.set_suspended(false); });
+  sim.run();
+  EXPECT_EQ(done, 5_ms);
+  EXPECT_EQ(p.cpu_time(), 2_ms);
+  EXPECT_EQ(os.current(0), nullptr);
+  EXPECT_TRUE(p.idle());
+}
+
+// ---- wake-up contract -------------------------------------------------
+
+TEST(OsSchedulerWakeups, ComputeWakesOnlyOnCompletion) {
+  // compute() resumes its caller once, when the work is done. Each
+  // suspend/resume cycle costs only the two test events that drive
+  // it: the preemption and the re-dispatch wake nobody. The total is
+  // the 2k driving events + the completion event + the one resume.
+  for (const int k : {0, 1, 3, 10}) {
+    sim::Simulator sim;
+    OsScheduler os{sim, quiet_params(), sim.rng().fork(1)};
+    Proc& p = os.create("app", 0);
+    SimTime done = SimTime::zero();
+    auto t = [&]() -> Task<> {
+      co_await p.compute(10_ms);
+      done = sim.now();
+    };
+    sim.spawn(t());
+    for (int i = 0; i < k; ++i) {
+      sim.schedule_at(SimTime::ms(1 + 2 * i), [&] { p.set_suspended(true); });
+      sim.schedule_at(SimTime::ms(2 + 2 * i), [&] { p.set_suspended(false); });
+    }
+    EXPECT_EQ(sim.run(), static_cast<std::uint64_t>(2 * k + 2)) << "k=" << k;
+    EXPECT_NEAR(done.to_millis(), 10.0 + k, 1e-3) << "k=" << k;
+    EXPECT_EQ(p.cpu_time(), done - SimTime::ms(k)) << "k=" << k;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "storm/machine_manager.hpp"
 #include "storm/node_manager.hpp"
 
@@ -363,6 +366,26 @@ TEST(ClusterMisc, ManySequentialJobsReuseResources) {
   }
   EXPECT_EQ(cluster.mm().completed_count(), 5);
   EXPECT_EQ(cluster.mm().matrix().job_count(), 0u);
+}
+
+TEST(ClusterMisc, SubmitPastJobTableCapacityThrows) {
+  // The app-channel key packs the job id into 14 bits: job 2^14 would
+  // alias job 0 of the next incarnation. The job table must refuse it
+  // loudly instead.
+  sim::Simulator sim;
+  Cluster cluster(sim, launch_config(1));
+  for (JobId i = 0; i < Cluster::kMaxJobs; ++i) {
+    ASSERT_EQ(cluster.submit({.binary_size = 1_MB, .npes = 1}), i);
+  }
+  EXPECT_EQ(cluster.job_count(), static_cast<std::size_t>(Cluster::kMaxJobs));
+  try {
+    cluster.submit({.binary_size = 1_MB, .npes = 1});
+    FAIL() << "job " << Cluster::kMaxJobs << " was accepted";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find("16384"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(cluster.job_count(), static_cast<std::size_t>(Cluster::kMaxJobs));
 }
 
 }  // namespace
