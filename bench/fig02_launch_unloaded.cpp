@@ -6,8 +6,7 @@
 // (protocol bandwidth ~131 MB/s); send grows slowly with node count,
 // execute grows with node count through OS skew and is independent of
 // binary size.
-#include "bench/common.hpp"
-#include "bench/state_export.hpp"
+#include "bench/artifacts.hpp"
 #include "sim/stats.hpp"
 #include "storm/buddy_allocator.hpp"
 #include "storm/cluster.hpp"
@@ -24,8 +23,7 @@ struct Cell {
 };
 
 Cell measure(int processors, sim::Bytes binary, int repetitions,
-             bench::MetricsExport& mx, bench::TraceExport& tx,
-             bench::StateExport& sx, bench::BenchJsonExport& bx) {
+             bench::Artifacts& art) {
   sim::Series send, exec;
   for (int rep = 0; rep < repetitions; ++rep) {
     sim::Simulator sim(0xF16'02ULL + rep * 7919);
@@ -34,17 +32,11 @@ Cell measure(int processors, sim::Bytes binary, int repetitions,
     core::ClusterConfig cfg = core::ClusterConfig::es40(nodes);
     cfg.storm.quantum = 1_ms;  // the paper's launch-experiment setting
     core::Cluster cluster(sim, cfg);
-    if (mx.enabled()) cluster.enable_fabric_metrics();
-    if (mx.ts_enabled()) cluster.enable_timeseries(mx.ts_options());
-    if (tx.enabled()) cluster.enable_tracing();
+    art.attach(cluster);
     const auto id = cluster.submit(
         {.name = "noop", .binary_size = binary, .npes = processors});
     const bool done = cluster.run_until_all_complete(600_sec);
-    mx.collect(cluster.metrics());
-    if (mx.ts_enabled()) mx.collect_series(cluster.timeseries()->snapshot());
-    if (tx.enabled()) tx.collect(cluster.tracer()->buffer());
-    sx.collect(cluster);
-    bx.record_run(nodes, sim.events_executed());
+    art.collect(cluster);
     if (!done) continue;
     send.add(cluster.job(id).times().send_time().to_millis());
     exec.add(cluster.job(id).times().execute_time().to_millis());
@@ -57,10 +49,7 @@ Cell measure(int processors, sim::Bytes binary, int repetitions,
 int main(int argc, char** argv) {
   const bool fast = bench::fast_mode(argc, argv);
   const int reps = fast ? 1 : 3;
-  bench::MetricsExport mx(argc, argv);
-  bench::TraceExport tx(argc, argv);
-  bench::StateExport sx(argc, argv);
-  bench::BenchJsonExport bx(argc, argv, "fig02");
+  bench::Artifacts art(argc, argv, "fig02");
 
   bench::banner("Figure 2 — job launch times, unloaded system",
                 "send/execute vs processors for 4/8/12 MB binaries; "
@@ -72,9 +61,9 @@ int main(int argc, char** argv) {
   // The 12 MB / 256-PE anchor configuration is measured last, so its
   // run is the one a `--trace` export shows.
   for (int pes : {1, 2, 4, 8, 16, 32, 64, 128, 256}) {
-    const Cell c4 = measure(pes, 4_MB, reps, mx, tx, sx, bx);
-    const Cell c8 = measure(pes, 8_MB, reps, mx, tx, sx, bx);
-    const Cell c12 = measure(pes, 12_MB, reps, mx, tx, sx, bx);
+    const Cell c4 = measure(pes, 4_MB, reps, art);
+    const Cell c8 = measure(pes, 8_MB, reps, art);
+    const Cell c12 = measure(pes, 12_MB, reps, art);
     t.cell(pes);
     t.cell(c4.send_ms);
     t.cell(c4.exec_ms);
@@ -88,9 +77,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\n(all times in ms; paper: sends proportional to size, nearly flat in"
       " PEs;\n execute grows with PEs via OS skew, independent of size)\n");
-  int rc = mx.write();
-  tx.write();
-  rc |= bx.write();
-  sx.write();  // last: `--state -` appends the snapshot to stdout
-  return rc;
+  return art.write();
 }

@@ -5,14 +5,11 @@
 // increase in the number of nodes beyond that caused by the
 // job-launch." (50 ms quantum.)
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 #include "apps/sweep3d.hpp"
 #include "apps/synthetic.hpp"
-#include "bench/common.hpp"
+#include "bench/artifacts.hpp"
 #include "bench/runner.hpp"
-#include "bench/state_export.hpp"
 #include "storm/cluster.hpp"
 
 namespace {
@@ -21,24 +18,21 @@ using namespace storm;
 using namespace storm::sim::time_literals;
 using namespace storm::sim::byte_literals;
 
-double run_jobs(int nodes, int njobs, core::AppProgram program,
-                const bench::MetricsExport& mx,
-                telemetry::MetricsRegistry& metrics_out,
-                telemetry::TimeSeriesStore& series_out,
-                const bench::TraceExport& tx,
-                bench::TraceExport::Snapshot* trace_out,
-                const bench::StateExport& sx,
-                bench::StateExport::Snapshot* state_out,
-                bench::BenchJsonExport& bx) {
+/// One run's runtime / MPL and its artifact snapshot.
+struct Run {
+  double runtime;
+  bench::Artifacts::Snapshot art;
+};
+
+Run run_jobs(int nodes, int njobs, core::AppProgram program,
+             const bench::Artifacts& art) {
   sim::Simulator sim(0xF16'05ULL);
   core::ClusterConfig cfg = core::ClusterConfig::es40(nodes);
   cfg.app_cpus_per_node = 2;
   cfg.storm.quantum = 50_ms;  // the paper's pick after Figure 4
   cfg.storm.max_mpl = 2;
   core::Cluster cluster(sim, cfg);
-  if (mx.enabled()) cluster.enable_fabric_metrics();
-  if (mx.ts_enabled()) cluster.enable_timeseries(mx.ts_options());
-  if (tx.enabled()) cluster.enable_tracing();
+  art.attach(cluster);
   std::vector<core::JobId> ids;
   for (int j = 0; j < njobs; ++j) {
     ids.push_back(cluster.submit({.name = "app" + std::to_string(j),
@@ -47,12 +41,8 @@ double run_jobs(int nodes, int njobs, core::AppProgram program,
                                   .program = program}));
   }
   const bool done = cluster.run_until_all_complete(3600_sec);
-  metrics_out.merge(cluster.metrics());
-  if (mx.ts_enabled()) series_out.merge(cluster.timeseries()->snapshot());
-  if (tx.enabled()) *trace_out = tx.snapshot(cluster.tracer()->buffer());
-  if (sx.enabled()) *state_out = sx.snapshot(cluster);
-  bx.record_run(nodes, sim.events_executed());
-  if (!done) return -1.0;
+  Run run{-1.0, art.capture(cluster)};
+  if (!done) return run;
   // Application-level timing, as the paper's self-timing benchmarks
   // report it (free of MM boundary rounding).
   sim::SimTime first_start = sim::SimTime::max();
@@ -62,8 +52,9 @@ double run_jobs(int nodes, int njobs, core::AppProgram program,
         std::min(first_start, cluster.job(id).times().first_proc_started);
     last_exit = std::max(last_exit, cluster.job(id).times().last_proc_exited);
   }
-  return (last_exit - first_start).to_seconds() /
-         static_cast<double>(njobs);
+  run.runtime =
+      (last_exit - first_start).to_seconds() / static_cast<double>(njobs);
+  return run;
 }
 
 // Opt-in `--scale-nodes N` point: one moderately sized job on an
@@ -73,8 +64,7 @@ double run_jobs(int nodes, int njobs, core::AppProgram program,
 // full-sim throughput floor (--min-node-events-per-s +
 // BENCH_fullsim.json) is measured on. Flag-gated so the default
 // stdout stays byte-identical to the goldens.
-void run_scale_point(int nodes, sim::SimTime work,
-                     bench::BenchJsonExport& bx) {
+void run_scale_point(int nodes, sim::SimTime work, bench::Artifacts& art) {
   sim::Simulator sim(0xF16'05ULL);
   core::ClusterConfig cfg = core::ClusterConfig::es40(nodes);
   cfg.app_cpus_per_node = 2;
@@ -87,29 +77,26 @@ void run_scale_point(int nodes, sim::SimTime work,
                   .npes = npes,
                   .program = apps::synthetic_computation(work)});
   const bool done = cluster.run_until_all_complete(3600_sec);
-  bx.record_run(nodes, sim.events_executed());
+  // Counted toward the bench-json throughput only: the point is not
+  // instrumented, and its state must not replace the sweep's.
+  bench::Artifacts::Snapshot counted;
+  counted.count(cluster);
+  art.adopt(std::move(counted));
   std::printf("scale point: %d nodes, %d PEs, %llu engine events%s\n", nodes,
               npes, static_cast<unsigned long long>(sim.events_executed()),
               done ? "" : " (TIMED OUT)");
-}
-
-int parse_scale_nodes(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string_view(argv[i]) == "--scale-nodes") {
-      return std::atoi(argv[i + 1]);
-    }
-  }
-  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool fast = bench::fast_mode(argc, argv);
-  bench::MetricsExport mx(argc, argv);
-  bench::TraceExport tx(argc, argv);
-  bench::StateExport sx(argc, argv);
-  bench::BenchJsonExport bx(argc, argv, "fig05");
+  bench::Artifacts art(argc, argv, "fig05");
+  const bench::SweepRunner runner(argc, argv);
+  // --scale-nodes caps at the terascale ceiling; a full-sim cluster
+  // that large would not fit in memory anyway.
+  const int scale_nodes = static_cast<int>(
+      bench::number_flag(argc, argv, "--scale-nodes", 65536, /*whole=*/true));
 
   apps::Sweep3DParams sweep;
   // Compute budget chosen so the end-to-end runtime including the
@@ -129,36 +116,26 @@ int main(int argc, char** argv) {
   const int node_counts[] = {1, 2, 4, 8, 16, 32, 64};
   struct Row {
     double s1, s2, c1, c2;
-    telemetry::MetricsRegistry metrics;
-    telemetry::TimeSeriesStore series;   // merged in-run, committed serially
-    bench::TraceExport::Snapshot trace;  // last run of the point
-    bench::StateExport::Snapshot state;  // last run of the point
+    bench::Artifacts::Snapshot art;
   };
-  const bench::SweepRunner runner(argc, argv);
   runner.run(
       std::size(node_counts),
       [&](std::size_t ni) {
         const int nodes = node_counts[ni];
-        Row row;
-        row.s1 = run_jobs(nodes, 1, apps::sweep3d(sweep), mx,
-                          row.metrics, row.series, tx, &row.trace, sx,
-                          &row.state, bx);
-        row.s2 = run_jobs(nodes, 2, apps::sweep3d(sweep), mx,
-                          row.metrics, row.series, tx, &row.trace, sx,
-                          &row.state, bx);
-        row.c1 = run_jobs(nodes, 1, apps::synthetic_computation(synth_work),
-                          mx, row.metrics, row.series, tx, &row.trace, sx,
-                          &row.state, bx);
-        row.c2 = run_jobs(nodes, 2, apps::synthetic_computation(synth_work),
-                          mx, row.metrics, row.series, tx, &row.trace, sx,
-                          &row.state, bx);
-        return row;
+        Run s1 = run_jobs(nodes, 1, apps::sweep3d(sweep), art);
+        Run s2 = run_jobs(nodes, 2, apps::sweep3d(sweep), art);
+        Run c1 = run_jobs(nodes, 1, apps::synthetic_computation(synth_work),
+                          art);
+        Run c2 = run_jobs(nodes, 2, apps::synthetic_computation(synth_work),
+                          art);
+        s1.art += std::move(s2.art);
+        s1.art += std::move(c1.art);
+        s1.art += std::move(c2.art);
+        return Row{s1.runtime, s2.runtime, c1.runtime, c2.runtime,
+                   std::move(s1.art)};
       },
       [&](std::size_t ni, Row& row) {
-        mx.collect(row.metrics);
-        mx.collect_series(row.series);
-        tx.adopt(std::move(row.trace));
-        sx.adopt(std::move(row.state));
+        art.adopt(std::move(row.art));
         t.cell(node_counts[ni]);
         t.cell(row.s1, 2);
         t.cell(row.s2, 2);
@@ -167,13 +144,8 @@ int main(int argc, char** argv) {
         t.end_row();
       });
   std::printf("\n(seconds; weak scaling: 2 PEs per node)\n");
-  if (const int scale_nodes = parse_scale_nodes(argc, argv);
-      scale_nodes > 0) {
-    run_scale_point(scale_nodes, fast ? 5_sec : 25_sec, bx);
+  if (scale_nodes > 0) {
+    run_scale_point(scale_nodes, fast ? 5_sec : 25_sec, art);
   }
-  int rc = mx.write();
-  tx.write();
-  rc |= bx.write();
-  sx.write();  // last: `--state -` appends the snapshot to stdout
-  return rc;
+  return art.write();
 }

@@ -5,10 +5,10 @@
 // Cluster and MetricsRegistry, connected only by the order in which
 // rows are printed and registries merged. SweepRunner exploits that:
 // points evaluate on a `--jobs N` thread pool while commits — the
-// printing and the `MetricsExport::collect` merge — run on the
-// calling thread strictly in point-index order. A `--jobs 4` run
-// therefore produces stdout and `--metrics` JSON byte-identical to a
-// serial run (CI diffs the two); the only shared mutable state across
+// printing and the `Artifacts::adopt` merge — run on the calling
+// thread strictly in point-index order. A `--jobs 4` run therefore
+// produces stdout and every artifact byte-identical to a serial run
+// (CI diffs the two); the only shared mutable state across
 // points is the process-wide sim::Tracer singleton, which is
 // thread-safe (src/sim/trace.hpp).
 #pragma once
