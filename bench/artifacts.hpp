@@ -157,12 +157,6 @@ class Artifacts {
       }
       ts_opts_.watchdogs.push_back(std::move(rule));
     }
-    if (metrics_path_ != nullptr) telemetry::count_trace_lines(all_.metrics);
-  }
-  ~Artifacts() {
-    if (metrics_path_ != nullptr) {
-      sim::Tracer::instance().set_line_observer({});
-    }
   }
   Artifacts(const Artifacts&) = delete;
   Artifacts& operator=(const Artifacts&) = delete;

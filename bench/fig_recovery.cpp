@@ -1,15 +1,17 @@
 // Failure-recovery experiment: a deterministic fault campaign over a
-// gang-scheduled workload — node crash mid-launch, primary-MM crash
-// mid-run, a seeded crash/recover schedule plus a network partition —
-// measuring detection latency, kill/requeue counts and the
-// requeue-to-running recovery latency, and verifying that two
-// same-seed campaigns are byte-identical end to end.
+// gang-scheduled workload — node crash mid-launch, a seeded
+// crash/recover schedule plus a network partition, and under quorum
+// replication a leader-MM crash and a one-way split-brain partition —
+// measuring detection latency, kill/requeue counts, the MM failover
+// gap and the requeue-to-running recovery latency, and verifying that
+// two same-seed campaigns are byte-identical end to end.
 //
 // The paper (Section 4) measures STORM's heartbeat *detection* cost;
 // this harness exercises the recovery policy built on top of it: the
 // MM evicts dead nodes from the buddy trees, kills and requeues the
-// jobs spanning them, shrinks in-flight multicast sets, and a hot
-// standby adopts the machine when the primary itself dies.
+// jobs spanning them, shrinks in-flight multicast sets, and a passive
+// MM replica adopts the machine when it wins the quorum lease after
+// the leader dies.
 #include <optional>
 #include <vector>
 
@@ -37,7 +39,6 @@ core::AppProgram compute_program(SimTime work) {
 
 enum class Scenario {
   NodeCrashMidLaunch,
-  MmCrashMidRun,
   SeededCampaign,
   ReplLeaderCrash,  // quorum MMs; leader dæmon dies mid-run
   ReplSplitBrain,   // one-way partition starves the leader of acks
@@ -46,7 +47,6 @@ enum class Scenario {
 const char* name_of(Scenario s) {
   switch (s) {
     case Scenario::NodeCrashMidLaunch: return "node-launch";
-    case Scenario::MmCrashMidRun: return "mm-run";
     case Scenario::SeededCampaign: return "seed+part";
     case Scenario::ReplLeaderCrash: return "repl-crash";
     case Scenario::ReplSplitBrain: return "repl-split";
@@ -67,7 +67,7 @@ struct RunResult {
   std::int64_t requeues = 0;
   std::int64_t failovers = 0;
   double detect_ms = 0;        // node-death detection latency (mean)
-  double fo_gap_ms = 0;        // MM silence gap at failover
+  double fo_gap_ms = 0;        // old leader's last renewal -> election win
   double fo_resume_ms = 0;     // takeover -> scheduling resumed
   double requeue_run_ms = 0;   // kill -> replacement incarnation on CPUs
   std::int64_t elections = 0;      // quorum scenarios: term bumps won
@@ -82,11 +82,7 @@ core::ClusterConfig recovery_config(bool repl) {
   cfg.storm.quantum = 10_ms;
   cfg.storm.heartbeat_enabled = true;
   cfg.storm.heartbeat_period_quanta = 5;  // 50 ms heartbeat
-  if (repl) {
-    cfg.storm.replication_enabled = true;  // quorum MMs on 0, 14, 15
-  } else {
-    cfg.storm.standby_mm_enabled = true;  // standby on node 15
-  }
+  cfg.storm.replication_enabled = repl;  // quorum MMs on 0, 14, 15
   return cfg;
 }
 
@@ -141,18 +137,14 @@ RunResult run_campaign(Scenario scenario, std::uint64_t seed, bool fast,
   // campaign, declaration instants come from the MM callback.
   sim::Series detect;
   std::vector<std::pair<int, SimTime>> crash_times;
-  auto watch_failures = [&](core::MachineManager& mm) {
-    mm.set_failure_callback([&](int n, SimTime when) {
-      for (const auto& [node, at] : crash_times) {
-        if (node == n) {
-          detect.add((when - at).to_millis());
-          return;
-        }
+  cluster.mm_primary().set_failure_callback([&](int n, SimTime when) {
+    for (const auto& [node, at] : crash_times) {
+      if (node == n) {
+        detect.add((when - at).to_millis());
+        return;
       }
-    });
-  };
-  watch_failures(cluster.mm_primary());
-  if (cluster.mm_standby() != nullptr) watch_failures(*cluster.mm_standby());
+    }
+  });
 
   fabric::FaultCampaign campaign;
   switch (scenario) {
@@ -163,9 +155,6 @@ RunResult run_campaign(Scenario scenario, std::uint64_t seed, bool fast,
       campaign.crash_node(5, 60_ms);
       campaign.recover_node(5, 2500_ms);
       break;
-    case Scenario::MmCrashMidRun:
-      campaign.crash_primary_mm(500_ms);
-      break;
     case Scenario::SeededCampaign: {
       fabric::FaultCampaign::SeedSpec spec;
       spec.nodes = 16;
@@ -174,7 +163,7 @@ RunResult run_campaign(Scenario scenario, std::uint64_t seed, bool fast,
       spec.window_end = 1500_ms;
       spec.min_downtime = 500_ms;
       spec.max_downtime = 1200_ms;
-      spec.protect = {0, 15};  // both MMs
+      spec.protect = {0};  // the MM's node
       campaign = fabric::FaultCampaign::seeded(sim::Rng(seed ^ 0xFA17), spec);
       // Plus a switch failure: nodes 8-11 unreachable for 600 ms.
       campaign.partition({8, 9, 10, 11}, 2200_ms, 2800_ms);
@@ -306,11 +295,9 @@ int main(int argc, char** argv) {
   t.print_header();
 
   bool all_ok = true;
-  double standby_gap_ms = 0, standby_resume_ms = 0;  // hot-standby takeover
-  double repl_gap_ms = 0, repl_resume_ms = 0;        // quorum-lease takeover
+  double repl_gap_ms = 0, repl_resume_ms = 0;  // quorum-lease takeover
   std::vector<std::uint8_t> recorded;  // replay input (node-crash run)
   for (const Scenario s : {Scenario::NodeCrashMidLaunch,
-                           Scenario::MmCrashMidRun,
                            Scenario::SeededCampaign,
                            Scenario::ReplLeaderCrash,
                            Scenario::ReplSplitBrain}) {
@@ -321,10 +308,6 @@ int main(int argc, char** argv) {
                            a.finished == b.finished;
     all_ok = all_ok && a.all_done && identical && a.aborted == 0;
     if (s == Scenario::NodeCrashMidLaunch) recorded = a.trace;
-    if (s == Scenario::MmCrashMidRun) {
-      standby_gap_ms = a.fo_gap_ms;
-      standby_resume_ms = a.fo_resume_ms;
-    }
     if (s == Scenario::ReplLeaderCrash) {
       repl_gap_ms = a.fo_gap_ms;
       repl_resume_ms = a.fo_resume_ms;
@@ -360,28 +343,19 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\n(detect_ms: node-death declaration latency; fo_gap_ms: primary\n"
-      " silence at standby takeover; rq_run_ms: kill -> replacement\n"
-      " incarnation running; identical: two same-seed campaigns produced\n"
-      " byte-identical fabric traces and finish times)\n");
+      "\n(detect_ms: node-death declaration latency; fo_gap_ms: old\n"
+      " leader's last lease renewal -> replica election win; rq_run_ms:\n"
+      " kill -> replacement incarnation running; identical: two same-seed\n"
+      " campaigns produced byte-identical fabric traces and finish times)\n");
 
-  // The headline robustness comparison: the same leader-death instant
-  // handled by silence-counting hot standby vs the quorum lease. The
-  // lease bounds detection at repl_lease + one election stagger, so
-  // the gap must come in well under the heartbeat-counting scheme.
-  std::printf(
-      "\nfailover gap: hot-standby %.1f ms vs quorum-lease %.1f ms "
-      "(%.1fx)\nfailover resume: hot-standby %.1f ms vs quorum-lease "
-      "%.1f ms\n",
-      standby_gap_ms, repl_gap_ms,
-      repl_gap_ms > 0 ? standby_gap_ms / repl_gap_ms : 0.0,
-      standby_resume_ms, repl_resume_ms);
-  art.record_value("mm.failover.gap_ns.standby", standby_gap_ms * 1e6);
-  art.record_value("mm.failover.resume_ns.standby", standby_resume_ms * 1e6);
+  // The headline robustness number: the lease bounds detection of a
+  // dead leader at repl_lease + one election stagger.
+  std::printf("\nfailover gap: quorum-lease %.1f ms\n"
+              "failover resume: quorum-lease %.1f ms\n",
+              repl_gap_ms, repl_resume_ms);
   art.record_value("mm.failover.gap_ns.repl", repl_gap_ms * 1e6);
   art.record_value("mm.failover.resume_ns.repl", repl_resume_ms * 1e6);
-  all_ok = all_ok && standby_gap_ms > 0 && repl_gap_ms > 0 &&
-           repl_gap_ms < standby_gap_ms;
+  all_ok = all_ok && repl_gap_ms > 0;
 
   bool budget_breach = false;
   if (max_gap_ms > 0 && (repl_gap_ms <= 0 || repl_gap_ms > max_gap_ms)) {

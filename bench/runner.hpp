@@ -8,9 +8,8 @@
 // printing and the `Artifacts::adopt` merge — run on the calling
 // thread strictly in point-index order. A `--jobs 4` run therefore
 // produces stdout and every artifact byte-identical to a serial run
-// (CI diffs the two); the only shared mutable state across
-// points is the process-wide sim::Tracer singleton, which is
-// thread-safe (src/sim/trace.hpp).
+// (CI diffs the two). Points share no mutable state: each owns its
+// Simulator, Cluster and registry until its commit.
 #pragma once
 
 #include <condition_variable>

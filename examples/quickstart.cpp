@@ -2,25 +2,16 @@
 // 12 MB job on all 256 processors, and print the launch breakdown —
 // the experiment behind the paper's headline "110 ms" number.
 //
-//   $ ./examples/quickstart            # the headline experiment
-//   $ ./examples/quickstart --trace    # with a dæmon-level timeline
+//   $ ./examples/quickstart
 #include <cstdio>
-#include <cstring>
 
-#include "sim/trace.hpp"
 #include "storm/cluster.hpp"
 
 using namespace storm;
 using namespace storm::sim::time_literals;
 using namespace storm::sim::byte_literals;
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) {
-      sim::Tracer::instance().enable("mm");
-      sim::Tracer::instance().enable("nm");
-    }
-  }
+int main() {
   sim::Simulator sim;
 
   // The paper's testbed: 64 AlphaServer ES40 nodes (4 CPUs each),

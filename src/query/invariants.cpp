@@ -192,9 +192,9 @@ void heartbeat_fresh(const TableSet& t, std::vector<Violation>& out) {
       });
 }
 
-// The MM's queue length equals the number of Queued jobs, and (until a
-// failover rebuilds MM-local counters) its completed count equals the
-// number of terminal jobs.
+// The MM's queue length equals the number of Queued jobs, and its
+// completed count equals the number of terminal jobs (an adopting
+// replica rebuilds that count from the job table at failover).
 void queue_accounting(const TableSet& t, std::vector<Violation>& out) {
   const std::int64_t queued = static_cast<std::int64_t>(
       t.jobs.count([](const JobRow& j) {
@@ -206,15 +206,13 @@ void queue_accounting(const TableSet& t, std::vector<Violation>& out) {
                        " job(s) but " + std::to_string(queued) +
                        " job(s) are Queued"});
   }
-  if (!t.meta.standby_active) {
-    const std::int64_t terminal = static_cast<std::int64_t>(
-        t.jobs.count([](const JobRow& j) { return j.terminal(); }));
-    if (terminal != t.meta.completed) {
-      out.push_back({"queue-accounting",
-                     "MM observed " + std::to_string(t.meta.completed) +
-                         " terminal job(s) but the job table holds " +
-                         std::to_string(terminal)});
-    }
+  const std::int64_t terminal = static_cast<std::int64_t>(
+      t.jobs.count([](const JobRow& j) { return j.terminal(); }));
+  if (terminal != t.meta.completed) {
+    out.push_back({"queue-accounting",
+                   "MM observed " + std::to_string(t.meta.completed) +
+                       " terminal job(s) but the job table holds " +
+                       std::to_string(terminal)});
   }
 }
 

@@ -50,7 +50,6 @@ struct ClusterMeta {
   std::uint64_t seed = 0;
   std::int64_t sim_ns = 0;     // simulated clock at sample time
   int mm_node = -1;            // node hosting the ACTIVE MM
-  bool standby_active = false; // a standby MM has taken over
   std::int64_t hb_epoch = 0;   // active MM's heartbeat epoch counter
   std::int64_t queued = 0;     // active MM queue length
   std::int64_t completed = 0;  // jobs observed terminal by the MM

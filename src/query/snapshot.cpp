@@ -207,8 +207,9 @@ std::string to_json(const StateSnapshot& s) {
   out += ", \"seed\": " + std::to_string(m.seed);
   out += ", \"sim_ns\": " + std::to_string(m.sim_ns);
   out += ", \"mm_node\": " + std::to_string(m.mm_node);
-  out += ", \"standby_active\": ";
-  put(out, m.standby_active);
+  // Retired key, still written so storm.state.v1 stays byte-stable;
+  // readers ignore it.
+  out += ", \"standby_active\": false";
   out += ", \"hb_epoch\": " + std::to_string(m.hb_epoch);
   out += ", \"queued\": " + std::to_string(m.queued);
   out += ", \"completed\": " + std::to_string(m.completed);
@@ -363,7 +364,6 @@ bool from_json(std::string_view text, StateSnapshot& out, std::string* err) {
         !geti("max_job_restarts", m.max_job_restarts) || seed == nullptr ||
         !seed->is_number() || !geti("sim_ns", m.sim_ns) ||
         !geti("mm_node", m.mm_node) ||
-        !getb("standby_active", m.standby_active) ||
         !geti("hb_epoch", m.hb_epoch) || !geti("queued", queued) ||
         !geti("completed", m.completed) || !geti("strobes", m.strobes) ||
         !geti("matrix_rows", m.matrix_rows)) {

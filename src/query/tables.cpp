@@ -87,8 +87,6 @@ ClusterMeta live_meta(core::Cluster& cluster) {
   m.seed = cfg.seed;
   m.sim_ns = cluster.sim().now().raw_ns();
   m.mm_node = mm.node();
-  m.standby_active = cluster.mm_standby() != nullptr &&
-                     cluster.mm_standby()->active();
   m.hb_epoch = mm.heartbeat_epoch();
   m.queued = static_cast<std::int64_t>(mm.queued_count());
   m.completed = mm.completed_count();

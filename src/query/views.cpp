@@ -86,9 +86,8 @@ std::string view_summary(const TableSet& t) {
          m.scheduler + (m.plane_mode ? ", plane mode" : "") + "\n";
   out += "sim time:  " + ms(m.sim_ns) + " ms (quantum " + ms(m.quantum_ns) +
          " ms, seed " + std::to_string(m.seed) + ")\n";
-  out += "mm:        node " + std::to_string(m.mm_node) +
-         (m.standby_active ? " (standby, after failover)" : " (primary)") +
-         ", " + std::to_string(m.strobes) + " strobes, heartbeat epoch " +
+  out += "mm:        node " + std::to_string(m.mm_node) + " (primary), " +
+         std::to_string(m.strobes) + " strobes, heartbeat epoch " +
          std::to_string(m.hb_epoch) + "\n";
   const auto by_state = t.jobs.group_by<std::string, int>(
       [](const JobRow& j) { return core::to_string(j.state); }, 0,
@@ -254,10 +253,6 @@ std::string view_failures(const TableSet& t) {
   if (!jobs.empty()) {
     out += "\n";
     out += jobs.str();
-  }
-  if (t.meta.standby_active) {
-    out += "\nmm: standby on node " + std::to_string(t.meta.mm_node) +
-           " is active (failover occurred)\n";
   }
   return out;
 }

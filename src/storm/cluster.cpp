@@ -17,8 +17,33 @@ namespace storm::core {
 using sim::SimTime;
 using sim::Task;
 
+void ClusterConfig::validate() const {
+  if (!storm.replication_enabled) return;
+  if (plane_mode) {
+    throw std::invalid_argument(
+        "ClusterConfig: replication_enabled is not supported with "
+        "plane_mode (plane mode hosts dæmons only on the MM's node)");
+  }
+  if (storm.repl_replicas < 2 || storm.repl_replicas > nodes) {
+    throw std::invalid_argument(
+        "ClusterConfig: repl_replicas (" +
+        std::to_string(storm.repl_replicas) + ") must lie in [2, nodes = " +
+        std::to_string(nodes) + "]: each replica needs its own node");
+  }
+  if (storm.repl_election_base <= storm.repl_lease) {
+    throw std::invalid_argument(
+        "ClusterConfig: repl_election_base (" +
+        storm.repl_election_base.to_string() + ") must exceed repl_lease (" +
+        storm.repl_lease.to_string() +
+        "), or a new leader's lease can overlap the old one");
+  }
+}
+
 Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
     : sim_(sim), config_(config) {
+  // Before anything registers with the simulator: a throw here leaves
+  // no observer pointing at a half-built cluster.
+  config_.validate();
   // Surface the engine's periodic-cohort coalescing in this cluster's
   // metrics. The counter is resolved on the first coalesced fire, so
   // runs that never coalesce (every pinned figure today) serialise an
@@ -62,9 +87,6 @@ Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
   assert(config_.app_cpus_per_node * mpl <= net::NodeStatePlane::kMaxPlSlots &&
          "PL pool exceeds the plane's per-node occupancy mask");
   if (config_.plane_mode) {
-    assert(!config_.storm.standby_mm_enabled &&
-           "plane mode hosts dæmons only on the MM's node; a standby MM "
-           "needs a real NM on its own node");
     plane_rt_ = std::make_unique<PlaneRuntime>(*this);
     net_->set_range_signal_hook(
         [this](int src, net::NodeRange dsts, net::EventAddr ev) {
@@ -87,19 +109,7 @@ Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
   }
 
   mm_ = std::make_unique<MachineManager>(*this, 0);
-  if (config_.storm.standby_mm_enabled) {
-    assert(config_.storm.heartbeat_enabled &&
-           "the standby MM needs the heartbeat multicast as its liveness "
-           "signal on an idle machine");
-    const int sn = config_.storm.standby_node >= 0 ? config_.storm.standby_node
-                                                   : config_.nodes - 1;
-    assert(sn != mm_->node() && "standby MM must live on a different node");
-    standby_mm_ = std::make_unique<MachineManager>(*this, sn, /*standby=*/true);
-  }
   if (config_.storm.replication_enabled) {
-    assert(!config_.storm.standby_mm_enabled &&
-           "quorum replication and the hot standby are alternative failover "
-           "schemes; enable one");
     repl_ = std::make_unique<ReplicationGroup>(*this,
                                                config_.storm.repl_replicas);
     mm_->attach_replication(repl_.get(), 0);
@@ -114,7 +124,6 @@ Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
 
   for (auto& nm : nms_) nm->start();
   mm_->start();
-  if (standby_mm_) standby_mm_->start();
   for (auto& fmm : repl_mms_) fmm->start();
   if (repl_) repl_->start();
 }
@@ -142,9 +151,6 @@ void Cluster::enable_timeseries(const telemetry::TimeSeriesOptions& opts) {
 
 MachineManager& Cluster::mm() {
   if (repl_) return *repl_mm_by_rank_[repl_->active_rank()];
-  if (standby_mm_ && standby_mm_->active() && !standby_mm_->crashed()) {
-    return *standby_mm_;
-  }
   return *mm_;
 }
 
@@ -285,7 +291,6 @@ void Cluster::crash_node(int node) {
     net_->plane().set_pl_busy(node, slot, false);
   }
   if (node == mm_->node()) mm_->crash();
-  if (standby_mm_ && node == standby_mm_->node()) standby_mm_->crash();
   if (repl_) {
     const int rank = repl_->rank_of_node(node);
     if (rank >= 0) {
@@ -366,7 +371,6 @@ void Cluster::deliver_command(net::NodeRange dsts,
   // sequence numbers — and with them span-begin order and per-machine
   // RNG draws — line up with the event-driven path.
   const int mm_node = mm_ ? mm_->node() : -1;
-  const int standby_node = standby_mm_ ? standby_mm_->node() : -1;
   int seg_first = -1;
   auto flush = [&](int seg_last) {
     if (seg_first < 0) return;
@@ -396,8 +400,8 @@ void Cluster::deliver_command(net::NodeRange dsts,
     // MM hosts stay on the event-driven path: their dæmon CPUs run
     // coroutines whose wakeups draw from the OS RNG stream in ways the
     // quiescence test cannot bound. Replica hosts count as MM hosts.
-    const bool excluded = n == mm_node || n == standby_node ||
-                          (repl_ && repl_->rank_of_node(n) > 0);
+    const bool excluded =
+        n == mm_node || (repl_ && repl_->rank_of_node(n) > 0);
     if (!excluded && nms_[n]->can_absorb_periodic()) {
       if (seg_first < 0) seg_first = n;
     } else {

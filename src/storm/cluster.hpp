@@ -142,27 +142,15 @@ struct StormParams {
   sim::SimTime transfer_stall_timeout = sim::SimTime::ms(2);
   sim::SimTime transfer_max_backoff = sim::SimTime::ms(5);
 
-  // Hot-standby MM failover. The standby shadows the primary through
-  // the fabric (every MM command lands on its node's NM); when no
-  // command has arrived for standby_miss_periods heartbeat periods it
-  // declares the primary dead, rebuilds allocation state from the
-  // cluster-owned job table and resumes time-slicing. Requires
-  // heartbeat_enabled (the periodic multicast is the liveness signal
-  // on an idle machine).
-  bool standby_mm_enabled = false;
-  int standby_node = -1;  // <0: the last node
-  int standby_miss_periods = 3;
-
   // Quorum-replicated MM (DESIGN §3.6): every state-changing MM
   // command commits through a majority of repl_replicas MM replicas
   // before its effects are enacted, and leadership is a lease renewed
-  // by majority ack — failover shrinks from a silence timeout to a
-  // lease expiry, and two leaders per term are impossible by
-  // construction. Mutually exclusive with standby_mm_enabled (pick a
-  // failover scheme). The lease/election rule repl_election_base >
-  // repl_lease is asserted: a voter withholds its grant while its
-  // leader is fresher than repl_election_base, so every old lease has
-  // expired before a new one can be issued.
+  // by majority ack — a dead leader is detected by lease expiry, and
+  // two leaders per term are impossible by construction.
+  // ClusterConfig::validate() enforces the lease/election rule
+  // repl_election_base > repl_lease: a voter withholds its grant while
+  // its leader is fresher than repl_election_base, so every old lease
+  // has expired before a new one can be issued.
   bool replication_enabled = false;
   int repl_replicas = 3;
   sim::SimTime repl_tick = sim::SimTime::ms(1);      // protocol scan
@@ -196,8 +184,8 @@ struct ClusterConfig {
   /// Ousterhout matrix, the buddy allocator, the file-transfer pipeline
   /// and the QsNET model are the real ones — only the per-node dæmon
   /// microcosm is replaced by its aggregate effect on the plane words.
-  /// Restrictions: no fault injection, no CPU/standby loads, and
-  /// application programs are replaced by JobSpec::plane_work.
+  /// Restrictions: no fault injection, no CPU load, no replication,
+  /// and application programs are replaced by JobSpec::plane_work.
   bool plane_mode = false;
 
   net::QsNetParams net{};
@@ -212,6 +200,12 @@ struct ClusterConfig {
     c.nodes = nodes;
     return c;
   }
+
+  /// Throws std::invalid_argument naming the first misconfiguration
+  /// found: a replication lease that can overlap the next election, a
+  /// replica count outside [2, nodes], or replication in plane mode.
+  /// Cluster's constructor calls this before it builds anything.
+  void validate() const;
 };
 
 class Cluster {
@@ -267,8 +261,9 @@ class Cluster {
   void recover_node(int node);
   /// Legacy name for crash_node.
   void fail_node(int node) { crash_node(node); }
-  /// Crash the primary MM dæmon only (its node survives): the standby,
-  /// when configured, detects the silence and takes over.
+  /// Crash the active MM dæmon only (its node survives). Under
+  /// replication its lease lapses and a passive replica takes over
+  /// once it wins the next election; otherwise scheduling stops.
   void crash_mm();
   bool node_crashed(int node) const { return node_crashed_[node]; }
   /// Bumped on every crash of `node`; coroutines snapshot it to detect
@@ -314,12 +309,10 @@ class Cluster {
   mech::Mechanisms& raw_mechanisms() { return *mech_; }
   node::Machine& machine(int n) { return *machines_[n]; }
   node::NfsServer& nfs() { return *nfs_; }
-  /// The currently ACTIVE Machine Manager: the primary until a
-  /// configured standby has taken over, the standby afterwards.
+  /// The currently ACTIVE Machine Manager: the primary, or under
+  /// replication the replica whose rank holds the lease.
   MachineManager& mm();
   MachineManager& mm_primary() { return *mm_; }
-  /// nullptr unless standby_mm_enabled.
-  MachineManager* mm_standby() { return standby_mm_.get(); }
   NodeManager& nm(int n) { return *nms_[n]; }
   /// The quorum-replication group, or nullptr unless
   /// replication_enabled.
@@ -385,13 +378,12 @@ class Cluster {
   std::vector<std::unique_ptr<NodeManager>> nms_;
   std::vector<std::vector<std::unique_ptr<ProgramLauncher>>> pls_;
   std::unique_ptr<MachineManager> mm_;
-  std::unique_ptr<MachineManager> standby_mm_;
   std::unique_ptr<ReplicationGroup> repl_;
   std::vector<std::unique_ptr<MachineManager>> repl_mms_;  // ranks 1..
   std::vector<MachineManager*> repl_mm_by_rank_;
   std::unique_ptr<PlaneRuntime> plane_rt_;
 
-  // The job table is cluster state, not MM state: a failover standby
+  // The job table is cluster state, not MM state: an adopting replica
   // rebuilds its scheduling structures from here.
   std::vector<std::unique_ptr<Job>> jobs_;
 

@@ -23,7 +23,7 @@ using telemetry::SpanKind;
 using telemetry::TraceSpan;
 
 MachineManager::MachineManager(Cluster& cluster, int node, bool standby)
-    : cluster_(cluster), node_(node), standby_(standby), active_(!standby) {
+    : cluster_(cluster), node_(node), standby_(standby) {
   const auto& cfg = cluster_.config();
   assert(node >= 0 && node < cfg.nodes);
   assert(BuddyAllocator::is_pow2(cfg.nodes) &&
@@ -92,17 +92,10 @@ NodeRange MachineManager::compute_nodes() const {
 Task<> MachineManager::run() {
   const SimTime q = cluster_.config().storm.quantum;
   if (standby_) {
-    if (repl_ != nullptr) {
-      // Quorum failover: adopt the instant this rank wins its
-      // term-bumped election, not after a silence timeout.
-      co_await repl_->takeover(repl_rank_).wait();
-      if (crashed_) co_return;
-      co_await failover();
-    } else {
-      co_await standby_watch();
-      if (crashed_) co_return;
-      co_await failover();
-    }
+    // Adopt the instant this rank wins its term-bumped election.
+    co_await repl_->takeover(repl_rank_).wait();
+    if (crashed_) co_return;
+    co_await failover();
   }
   for (;;) {
     if (crashed_) co_return;
@@ -126,34 +119,6 @@ Task<bool> MachineManager::commit_command(EntryKind kind, JobId job_id,
   co_return co_await repl_->replicate(repl_rank_, kind, job_id, args);
 }
 
-Task<> MachineManager::standby_watch() {
-  const StormParams& sp = cluster_.config().storm;
-  const SimTime q = sp.quantum;
-  // The liveness signal is the primary's command stream into our own
-  // node's NM (heartbeats reach every node even when the machine is
-  // idle). Silence past this threshold means the primary is gone.
-  const SimTime threshold =
-      q * (sp.heartbeat_period_quanta * sp.standby_miss_periods);
-  // Sample mid-quantum so the observation never races the primary's
-  // own boundary work on the grid. One periodic cohort member replaces
-  // the re-armed delay chain: same drift-free sample instants
-  // (q*k + q/2), but the heap sees one shared event per period.
-  sim::Simulator& sim = cluster_.sim();
-  const std::int64_t k = sim.now() / q + 1;
-  sim::Trigger done(sim);
-  const sim::PeriodicId id =
-      sim.schedule_periodic(q, q * k + q / 2, [this, &done, threshold] {
-        if (crashed_) {
-          done.fire();
-          return;
-        }
-        const SimTime last = cluster_.nm(node_).last_cmd_time();
-        if (cluster_.sim().now() - last > threshold) done.fire();
-      });
-  co_await done.wait();
-  sim.cancel_periodic(id);
-}
-
 void MachineManager::mark_terminal(Job& j, JobState st) {
   j.set_state(st);
   j.times().finished = cluster_.sim().now();
@@ -165,15 +130,10 @@ void MachineManager::mark_terminal(Job& j, JobState st) {
 
 Task<> MachineManager::failover() {
   const SimTime t_detect = cluster_.sim().now();
-  // Quorum mode measures the gap from the old leader's last renewal
-  // the group heard to the election win; hot-standby from the last
-  // command our NM saw to the silence-threshold trip.
-  const SimTime gap = repl_ != nullptr
-                          ? repl_->last_failover_gap()
-                          : t_detect - cluster_.nm(node_).last_cmd_time();
-  active_ = true;
   mt_fo_count_->add(1);
-  mt_fo_gap_->record(gap);
+  // The gap runs from the old leader's last renewal the group heard to
+  // this rank's election win.
+  mt_fo_gap_->record(repl_->last_failover_gap());
   TraceSpan fo_span;
   if (telemetry::CausalTracer* tr = cluster_.tracer()) {
     fo_span = tr->begin(SpanKind::MmFailover, node_, {});
@@ -213,13 +173,11 @@ Task<> MachineManager::failover() {
         break;
     }
   }
-  if (repl_ != nullptr) {
-    // Log the adoption itself: followers learn the schedule changed
-    // hands, and the entry's commit proves this replica still holds
-    // the lease it won.
-    (void)co_await commit_command(EntryKind::Sched, 0, slice_);
-    if (crashed_) co_return;
-  }
+  // Log the adoption itself: followers learn the schedule changed
+  // hands, and the entry's commit proves this replica still holds the
+  // lease it won.
+  (void)co_await commit_command(EntryKind::Sched, 0, slice_);
+  if (crashed_) co_return;
   co_await strobe(fo_span.context());
   mt_fo_resume_->record(cluster_.sim().now() - t_detect);
 }

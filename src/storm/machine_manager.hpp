@@ -12,12 +12,10 @@
 // performs all observation through COMPARE-AND-WRITE over the
 // partitions' NIC-resident state.
 //
-// A second MM can be instantiated as a hot standby on another node.
-// It shadows the primary through the fabric (every MM command —
-// strobe or heartbeat — lands on its own node's NM) and declares the
-// primary dead when no command has arrived for a configurable number
-// of heartbeat periods; it then rebuilds its allocation state from
-// the cluster-owned job table and resumes time-slicing.
+// Under quorum replication (DESIGN §3.6) further MM instances run as
+// passive replicas on other nodes. A replica adopts when its rank wins
+// an election: it rebuilds its allocation state from the cluster-owned
+// job table and resumes time-slicing.
 #pragma once
 
 #include <deque>
@@ -80,16 +78,12 @@ class MachineManager {
   /// is cancelled and the loop never wakes again.
   void crash();
   bool crashed() const { return crashed_; }
-  /// True once this MM is the one issuing commands (always for the
-  /// primary; after failover for a standby).
-  bool active() const { return active_; }
 
   /// Join a quorum-replication group as `rank` (called by the Cluster
   /// before start()). Every state-changing command then commits
   /// through the group before its effects are enacted, the boundary
   /// loop only runs while this rank holds the lease, and a standby
-  /// instance adopts on the group's takeover trigger instead of
-  /// silence detection.
+  /// instance adopts on the group's takeover trigger.
   void attach_replication(ReplicationGroup* group, int rank) {
     repl_ = group;
     repl_rank_ = rank;
@@ -135,14 +129,12 @@ class MachineManager {
   sim::Task<> node_rejoin(int node);
   void mark_terminal(Job& job, JobState st);
 
-  // Hot-standby internals.
-  sim::Task<> standby_watch();
+  // Replica adoption after an election win.
   sim::Task<> failover();
 
   Cluster& cluster_;
   int node_;
   bool standby_;
-  bool active_;
   bool crashed_ = false;
   ReplicationGroup* repl_ = nullptr;
   int repl_rank_ = 0;

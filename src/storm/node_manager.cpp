@@ -73,7 +73,6 @@ void NodeManager::restart() {
   stopped_ = false;
   while (mailbox_.try_get()) {
   }
-  last_cmd_time_ = cluster_.sim().now();
 }
 
 Task<> NodeManager::run() {
@@ -84,7 +83,6 @@ Task<> NodeManager::run() {
     const fabric::TracedCommand tc = co_await mailbox_.get();
     const ControlMessage& cmd = tc.msg;
     if (stopped_) continue;
-    last_cmd_time_ = cluster_.sim().now();
     max_depth_ = std::max(max_depth_, mailbox_.size() + 1);
     mt_cmds_->add(1);
     mt_mailbox_depth_->set_max(static_cast<double>(max_depth_));
@@ -372,7 +370,6 @@ void NodeManager::absorb_periodic(const fabric::TracedCommand& tc) {
   const StormParams& sp = cluster_.config().storm;
   // Bookkeeping the run() loop would have done on wakeup. The mailbox
   // is empty (absorb precondition), so the depth sample is 1.
-  last_cmd_time_ = cluster_.sim().now();
   max_depth_ = std::max(max_depth_, std::size_t{1});
   mt_cmds_->add(1);
   mt_mailbox_depth_->set_max(static_cast<double>(max_depth_));

@@ -61,10 +61,6 @@ class NodeManager {
 
   int current_row() const { return current_row_; }
 
-  /// When the last MM command arrived — the standby MM's liveness
-  /// signal for the primary (heartbeats reach every node).
-  sim::SimTime last_cmd_time() const { return last_cmd_time_; }
-
   /// Deepest the command queue has ever been — the overload indicator
   /// for quanta below the feasibility floor (Section 3.2.1).
   std::size_t max_mailbox_depth() const { return max_depth_; }
@@ -123,7 +119,6 @@ class NodeManager {
   int crash_epoch_ = 0;  // bumped per crash; receive loops snapshot it
   int current_row_ = 0;
   std::size_t max_depth_ = 0;
-  sim::SimTime last_cmd_time_{};
 
   std::vector<LocalPe> pes_;
   std::unordered_map<JobId, int> forked_;

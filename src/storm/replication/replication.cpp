@@ -17,22 +17,16 @@ using sim::Task;
 
 ReplicationGroup::ReplicationGroup(Cluster& cluster, int replicas)
     : cluster_(cluster) {
-  const StormParams& sp = cluster_.config().storm;
-  assert(replicas >= 2 && replicas <= cluster_.config().nodes);
-  // The lease must expire before any follower can be granted a new
-  // one: a voter withholds its grant for repl_election_base of leader
-  // freshness, so base > lease makes overlapping leases impossible.
-  assert(sp.repl_election_base > sp.repl_lease &&
-         "lease/election rule: repl_election_base must exceed repl_lease");
-  (void)sp;
+  // ClusterConfig::validate() has checked replicas against [2, nodes]
+  // and the lease/election rule (repl_election_base > repl_lease: a
+  // voter withholds its grant for repl_election_base of leader
+  // freshness, so overlapping leases are impossible).
   reps_.resize(static_cast<std::size_t>(replicas));
-  // Rank 0 rides the primary MM's node; ranks 1.. take the top nodes
-  // (mirroring the hot-standby's default placement on the last node).
+  // Rank 0 rides the primary MM's node; ranks 1.. take the top nodes.
   reps_[0].node = 0;
   for (int r = 1; r < replicas; ++r) {
     reps_[static_cast<std::size_t>(r)].node =
         cluster_.config().nodes - replicas + r;
-    assert(reps_[static_cast<std::size_t>(r)].node > 0);
   }
   for (auto& rep : reps_) {
     rep.takeover = std::make_unique<sim::Trigger>(sim());

@@ -188,8 +188,8 @@ class ReplicationGroup {
   /// command loop).
   void receive(int rank, const fabric::ControlMessage& msg);
 
-  /// Fired when `rank` wins an election; the standby MM parks on this
-  /// instead of the silence-based standby_watch.
+  /// Fired when `rank` wins an election; the rank's passive MM parks
+  /// on this.
   sim::Trigger& takeover(int rank) { return *reps_[rank].takeover; }
 
   // --- fault hooks (called by the Cluster) -------------------------------

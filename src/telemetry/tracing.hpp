@@ -56,7 +56,7 @@ enum class SpanKind : std::uint8_t {
   MmStrobe,       // MM broadcasts one timeslot switch
   MmHeartbeat,    // one heartbeat round
   MmKill,         // MM kills one job incarnation
-  MmFailover,     // standby MM takes over
+  MmFailover,     // a passive MM replica takes over
   FtTransfer,     // whole-file send on the MM
   FtRead,         // producer reads one chunk from the filesystem
   FtAssist,       // sender-side assist compute for one chunk

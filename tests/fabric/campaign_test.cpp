@@ -1,5 +1,5 @@
-// Tests for the recovery-oriented fabric middleware — ReorderBuffer,
-// node-scoped FaultInjector silence, PartitionSimulator — and the
+// Tests for the recovery-oriented fabric middleware — FaultInjector
+// delay and node-scoped silence, PartitionSimulator — and the
 // deterministic fault-campaign harness that drives them.
 #include "fabric/fault_campaign.hpp"
 
@@ -10,7 +10,6 @@
 
 #include "fabric/fault_injector.hpp"
 #include "fabric/partition_simulator.hpp"
-#include "fabric/reorder_buffer.hpp"
 #include "fabric/trace_sink.hpp"
 #include "storm/cluster.hpp"
 #include "storm/machine_manager.hpp"
@@ -40,21 +39,24 @@ ClusterConfig hb_config(int nodes) {
   return cfg;
 }
 
-// --- ReorderBuffer ---------------------------------------------------------
+// --- FaultInjector delay --------------------------------------------------
 
-TEST(ReorderBuffer, CommandHandlingIsOrderInsensitive) {
-  // Jitter every MM->NM delivery by up to 2 ms — strobes arrive out of
-  // order between nodes and between consecutive commands to one node.
-  // Strobes carry the absolute matrix row and heartbeat epochs are
-  // monotonic, so the gang workload must still run to completion with
-  // no node falsely declared dead.
+TEST(FaultInjectorDelay, CommandHandlingIsOrderInsensitive) {
+  // Delay every strobe and heartbeat operation by U[0, 2 ms) — strobes
+  // arrive out of order between nodes and between consecutive commands
+  // to one node. Strobes carry the absolute matrix row and heartbeat
+  // epochs are monotonic, so the gang workload must still run to
+  // completion with no node falsely declared dead.
   sim::Simulator sim;
   ClusterConfig cfg = hb_config(8);
   cfg.app_cpus_per_node = 2;
   Cluster cluster(sim, cfg);
-  auto reorder = std::make_shared<ReorderBuffer>(sim.rng().fork(0x0DDE));
-  reorder->set_window(2_ms);
-  cluster.fabric().push(reorder);
+  auto inject = std::make_shared<FaultInjector>(sim.rng().fork(0x0DDE));
+  const FaultInjector::ClassPolicy jitter{.delay_prob = 1.0,
+                                          .delay_max = 2_ms};
+  inject->set_policy(MsgClass::Strobe, jitter);
+  inject->set_policy(MsgClass::Heartbeat, jitter);
+  cluster.fabric().push(inject);
 
   const JobId a = cluster.submit(
       {.binary_size = 1_MB, .npes = 16, .program = compute_program(500_ms)});
@@ -63,22 +65,11 @@ TEST(ReorderBuffer, CommandHandlingIsOrderInsensitive) {
   ASSERT_TRUE(cluster.run_until_all_complete(120_sec));
   EXPECT_EQ(cluster.job(a).state(), JobState::Completed);
   EXPECT_EQ(cluster.job(b).state(), JobState::Completed);
-  EXPECT_GT(reorder->perturbed(), 100);
+  EXPECT_GT(inject->delayed(MsgClass::Strobe), 100);
+  EXPECT_GT(inject->delayed(MsgClass::Heartbeat), 100);
+  EXPECT_EQ(inject->total_dropped(), 0);
   EXPECT_TRUE(cluster.mm().failed_nodes().empty())
       << "reordered deliveries must not look like node death";
-}
-
-TEST(ReorderBuffer, ClassFilterRestrictsJitter) {
-  sim::Simulator sim;
-  Cluster cluster(sim, hb_config(4));
-  auto reorder = std::make_shared<ReorderBuffer>(sim.rng().fork(0x0DDF));
-  reorder->set_window(1_ms);
-  for (int c = 0; c < kMsgClassCount; ++c) {
-    reorder->enable_class(static_cast<MsgClass>(c), false);
-  }
-  cluster.fabric().push(reorder);
-  sim.run(1_sec);
-  EXPECT_EQ(reorder->perturbed(), 0);
 }
 
 // --- node-scoped FaultInjector silence ------------------------------------
@@ -314,8 +305,9 @@ TEST(FaultCampaign, ArmInstallsPartitionSimulator) {
 TEST(FaultCampaign, SameSeedCampaignRunIsByteIdentical) {
   // The acceptance bar for the whole recovery stack: a campaign that
   // crashes a worker node mid-run (with later recovery) and the
-  // primary MM mid-run must complete every job, and two same-seed runs
-  // must produce byte-identical structured traces.
+  // leading MM mid-run (a quorum replica takes over) must complete
+  // every job, and two same-seed runs must produce byte-identical
+  // structured traces.
   struct Result {
     std::vector<std::uint8_t> trace;
     std::vector<SimTime> finished;
@@ -327,7 +319,7 @@ TEST(FaultCampaign, SameSeedCampaignRunIsByteIdentical) {
     cfg.storm.quantum = 10_ms;
     cfg.storm.heartbeat_enabled = true;
     cfg.storm.heartbeat_period_quanta = 5;
-    cfg.storm.standby_mm_enabled = true;
+    cfg.storm.replication_enabled = true;  // MM replicas on 0, 6, 7
     Cluster cluster(sim, cfg);
     auto sink = std::make_shared<StructuredTraceSink>(sim);
     cluster.fabric().push(sink);
@@ -354,6 +346,7 @@ TEST(FaultCampaign, SameSeedCampaignRunIsByteIdentical) {
     r.trace = sink->bytes();
     EXPECT_EQ(cluster.job(a).state(), JobState::Completed);
     EXPECT_EQ(cluster.job(b).state(), JobState::Completed);
+    EXPECT_NE(cluster.replication()->active_rank(), 0);
     return r;
   };
 

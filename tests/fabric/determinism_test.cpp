@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "fabric/fault_injector.hpp"
-#include "fabric/latency_perturber.hpp"
 #include "fabric/trace_sink.hpp"
 #include "storm/cluster.hpp"
 #include "storm/machine_manager.hpp"
@@ -41,11 +40,11 @@ TEST(FabricPassThrough, NoopChainReproducesLaunchTimesExactly) {
     if (with_noop_chain) {
       auto inject = std::make_shared<FaultInjector>(sim.rng().fork(99));
       // All probabilities zero: decides every envelope, consumes no
-      // randomness, drops nothing.
-      auto perturb = std::make_shared<LatencyPerturber>(sim.rng().fork(98));
+      // randomness, drops nothing. A delay window without a delay
+      // probability adds no time either.
+      inject->set_policy(MsgClass::Strobe, {.delay_max = 50_us});
       auto sink = std::make_shared<StructuredTraceSink>(sim);
       cluster.fabric().push(inject);
-      cluster.fabric().push(perturb);
       cluster.fabric().push(sink);
     }
     const JobId id = cluster.submit({.binary_size = 4_MB, .npes = 64});
@@ -94,6 +93,7 @@ struct FaultyRun {
   std::vector<SimTime> finished;
   int completed = 0;
   std::int64_t strobes_dropped = 0;
+  std::int64_t strobes_delayed = 0;
 };
 
 FaultyRun faulty_gang_run(
@@ -153,23 +153,28 @@ TEST(FabricDeterminism, SameSeedStrobeLossIsByteIdentical) {
 TEST(FabricDeterminism, SameSeedJitterIsByteIdentical) {
   auto run = [] {
     FaultyRun out;
+    std::shared_ptr<FaultInjector> inject;
     std::shared_ptr<StructuredTraceSink> sink;
     out = faulty_gang_run([&](sim::Simulator& sim, Cluster& cluster) {
-      auto perturb = std::make_shared<LatencyPerturber>(sim.rng().fork(0xC0DE));
-      perturb->set_jitter(MsgClass::Strobe,
-                          {LatencyPerturber::Model::Uniform, 5_us, 50_us});
-      perturb->set_jitter(MsgClass::LaunchChunk,
-                          {LatencyPerturber::Model::Exponential, 0_us, 20_us});
+      inject = std::make_shared<FaultInjector>(sim.rng().fork(0xC0DE));
+      inject->set_policy(MsgClass::Strobe, {.delay_prob = 1.0,
+                                            .delay_min = 5_us,
+                                            .delay_max = 50_us});
+      inject->set_policy(MsgClass::LaunchChunk,
+                         {.delay_prob = 1.0, .delay_max = 20_us});
       sink = std::make_shared<StructuredTraceSink>(sim);
-      cluster.fabric().push(perturb);
+      cluster.fabric().push(inject);
       cluster.fabric().push(sink);
     });
+    out.strobes_delayed = inject->delayed(MsgClass::Strobe);
     out.trace = sink->bytes();
     return out;
   };
 
   const FaultyRun x = run();
   const FaultyRun y = run();
+  EXPECT_GT(x.strobes_delayed, 0);
+  EXPECT_EQ(x.strobes_delayed, y.strobes_delayed);
   EXPECT_EQ(x.completed, 2);
   EXPECT_EQ(x.finished, y.finished);
   ASSERT_FALSE(x.trace.empty());

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "fabric/fault_injector.hpp"
-#include "fabric/latency_perturber.hpp"
 #include "fabric/trace_sink.hpp"
 #include "sim/simulator.hpp"
 
@@ -373,36 +372,37 @@ TEST(FaultInjector, TargetedDropHitsOnceOnMatchingNode) {
   EXPECT_EQ(x.dropped(MsgClass::Heartbeat), 1);
 }
 
-TEST(LatencyPerturber, ModelsAndScope) {
+TEST(FaultInjector, DelayPolicyStaysInWindowAndClass) {
+  // Every network operation of a delayed class — per-node deliveries
+  // included — is held for a seeded uniform draw from [min, max];
+  // other classes and local operations pass with no added time.
   sim::Simulator sim;
-  LatencyPerturber p(sim.rng().fork(2));
-  p.set_jitter(MsgClass::Strobe,
-               {LatencyPerturber::Model::Constant, 10_us, {}});
-  p.set_jitter(MsgClass::Heartbeat,
-               {LatencyPerturber::Model::Uniform, 1_us, 4_us});
-
-  Action a;
-  p.apply(Envelope{OpKind::CommandMulticast, Component::MM,
-                   ControlMessage::strobe(0), 0, net::NodeRange{0, 8}, 64},
-          a);
-  EXPECT_EQ(a.delay, sim::SimTime::micros(10));
-
-  for (int i = 0; i < 50; ++i) {
-    Action h;
-    p.apply(Envelope{OpKind::CommandMulticast, Component::MM,
-                     ControlMessage::heartbeat(i), 0, net::NodeRange{0, 8}, 64},
-            h);
-    EXPECT_GE(h.delay, sim::SimTime::micros(1));
-    EXPECT_LT(h.delay, sim::SimTime::micros(5));
+  FaultInjector x(sim.rng().fork(2));
+  x.set_policy(MsgClass::Heartbeat,
+               {.delay_prob = 1.0, .delay_min = 1_us, .delay_max = 4_us});
+  for (const OpKind op : {OpKind::CommandMulticast, OpKind::CommandDeliver}) {
+    for (int i = 0; i < 50; ++i) {
+      Action a;
+      x.apply(Envelope{op, Component::MM, ControlMessage::heartbeat(i), 0,
+                       net::NodeRange{0, 8}, 64},
+              a);
+      EXPECT_GE(a.delay, 1_us);
+      EXPECT_LE(a.delay, 4_us);
+    }
   }
+  EXPECT_EQ(x.delayed(MsgClass::Heartbeat), 100);
 
-  // Per-node deliveries are not jittered (a multicast is perturbed
-  // once, not once per destination).
-  Action d;
-  p.apply(Envelope{OpKind::CommandDeliver, Component::MM,
-                   ControlMessage::strobe(0), 0, net::NodeRange{3, 1}, 0},
-          d);
-  EXPECT_EQ(d.delay, sim::SimTime::zero());
+  Action strobe;
+  x.apply(Envelope{OpKind::CommandMulticast, Component::MM,
+                   ControlMessage::strobe(0), 0, net::NodeRange{0, 8}, 64},
+          strobe);
+  EXPECT_EQ(strobe.delay, sim::SimTime::zero());
+  Action local;
+  x.apply(Envelope{OpKind::TestEvent, Component::MM,
+                   ControlMessage::heartbeat(0), 0, net::NodeRange{0, 1}, 0},
+          local);
+  EXPECT_EQ(local.delay, sim::SimTime::zero());
+  EXPECT_EQ(x.delayed(MsgClass::Heartbeat), 100);
 }
 
 TEST(StructuredTraceSink, RecordsVerdictsAndSerialises) {

@@ -207,11 +207,6 @@ TEST(Invariants, QueueAccountingFires) {
   t.meta.queued = 2;     // MM thinks two queued; table holds one
   t.meta.completed = 0;  // MM missed the completion
   expect_only(t, "queue-accounting", 2);
-
-  // After a failover the completed counter is rebuilt from scratch and
-  // exempt; the queue-length check still applies.
-  t.meta.standby_active = true;
-  expect_only(t, "queue-accounting", 1);
 }
 
 TEST(Invariants, JobLifecycleFires) {

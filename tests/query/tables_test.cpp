@@ -38,7 +38,6 @@ TEST(Tables, MetaMatchesConfig) {
   EXPECT_EQ(m.quantum_ns, (10_ms).raw_ns());
   EXPECT_EQ(m.seed, cfg.seed);
   EXPECT_EQ(m.mm_node, 0);
-  EXPECT_FALSE(m.standby_active);
   EXPECT_EQ(m.queued, 0);
   EXPECT_EQ(m.completed, 0);
 }

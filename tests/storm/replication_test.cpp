@@ -1,10 +1,13 @@
 // Quorum-replicated Machine Manager: bootstrap commits through a
 // majority, a leader crash elects a follower whose MM adopts the
 // machine, a minority-isolated leader commits nothing once its lease
-// expires, and same-seed runs are byte-identical end to end.
+// expires, same-seed runs are byte-identical end to end, and a
+// misconfigured group is refused before the cluster is built.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fabric/fault_injector.hpp"
@@ -100,8 +103,7 @@ TEST(Replication, LeaderCrashElectsFollowerAndJobsComplete) {
   EXPECT_GE(g->elections(), 1);
   EXPECT_EQ(counter_value(cluster, "mm.failover.count"), 1);
   // The quorum lease bounds the gap: one lease plus the first
-  // follower's election stagger, far under the hot-standby's
-  // heartbeat-counting window (150 ms and up; see recovery_test).
+  // follower's election stagger.
   const SimTime gap = g->last_failover_gap();
   EXPECT_GT(gap, SimTime{});
   EXPECT_LT(gap, 100_ms);
@@ -187,6 +189,48 @@ TEST(Replication, SameSeedLeaderCrashRunsAreByteIdentical) {
   const std::vector<std::uint8_t> b = run_once();
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b) << "same-seed replication runs must be byte-identical";
+}
+
+// --- misconfiguration ------------------------------------------------------
+
+// Builds a cluster from `cfg` and expects std::invalid_argument
+// naming `field`.
+void expect_refused(ClusterConfig cfg, const std::string& field) {
+  sim::Simulator sim;
+  try {
+    Cluster cluster(sim, cfg);
+    ADD_FAILURE() << "config accepted; expected a complaint about " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ReplicationConfig, ElectionBaseNotAboveLeaseThrows) {
+  ClusterConfig cfg = repl_config(16);
+  cfg.storm.repl_election_base = cfg.storm.repl_lease;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  expect_refused(cfg, "repl_election_base");
+}
+
+TEST(ReplicationConfig, ReplicaCountOutsideNodesThrows) {
+  ClusterConfig cfg = repl_config(4);
+  cfg.storm.repl_replicas = 5;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  expect_refused(cfg, "repl_replicas");
+  cfg.storm.repl_replicas = 1;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.storm.repl_replicas = 4;  // one replica per node is the limit
+  EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(ReplicationConfig, PlaneModeThrows) {
+  ClusterConfig cfg = repl_config(16);
+  cfg.plane_mode = true;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  expect_refused(cfg, "plane_mode");
+  cfg.storm.replication_enabled = false;
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 }  // namespace
